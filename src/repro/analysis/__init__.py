@@ -67,13 +67,14 @@ GEM014    Wire-schema drift: the codec surface of
           ``tools/wire_schema.py --write`` in the same change.
 ========  ============================================================
 
-GEM007-GEM009 are interprocedural: they consume per-module yield/lock
-summaries from :mod:`repro.analysis.interproc`, so a helper reached via
-``yield from`` contributes its suspension points and lock acquisitions
-to its callers. GEM011-GEM014 are the GeminiFlow pass
-(:mod:`repro.analysis.flow` / :mod:`repro.analysis.flowrules`): a
-cross-module call graph with a may-raise fixpoint over the live
-runtime, plus the wire-schema contract gate.
+Every rule that follows calls reads one call-graph engine,
+:class:`repro.analysis.flow.FlowProject`. GEM003, GEM007 and GEM008
+query its per-module view (Redlease reachability, may-yield and lock
+summaries, so a helper reached via ``yield from`` contributes its
+suspension points and lock acquisitions to its callers). GEM011-GEM014
+are the GeminiFlow rules (:mod:`repro.analysis.flowrules`): a
+cross-module may-raise fixpoint over the live runtime, asyncio
+discipline, and the wire-schema contract gate.
 
 Run with ``python -m repro.analysis src/``; suppress a finding with an
 inline ``# geminilint: disable=GEMxxx -- justification`` comment (the

@@ -22,7 +22,8 @@ import tokenize
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Type, Union)
 
 __all__ = [
     "Finding",
@@ -91,12 +92,11 @@ class ModuleContext:
 
     def enclosing_function(
         self, node: ast.AST
-    ) -> Optional[ast.FunctionDef]:
-        """Innermost ``def`` containing ``node`` (async defs never occur
-        in this codebase; the sim kernel uses plain generators)."""
+    ) -> Optional[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
+        """Innermost ``def`` or ``async def`` containing ``node``."""
         current = self.parents.get(node)
         while current is not None:
-            if isinstance(current, ast.FunctionDef):
+            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return current
             current = self.parents.get(current)
         return None
@@ -109,7 +109,7 @@ class ModuleContext:
             current = self.parents.get(current)
         return None
 
-    def is_generator(self, func: ast.FunctionDef) -> bool:
+    def is_generator(self, func: ast.AST) -> bool:
         """True when ``func`` contains a ``yield`` of its own."""
         for node in ast.walk(func):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):

@@ -1,31 +1,42 @@
-"""GeminiFlow: interprocedural exception- and blocking-flow analysis.
-
-The GeminiSan summaries (:mod:`repro.analysis.interproc`) answer "may
-this generator suspend, which locks does it hold" for one module at a
-time. The live-runtime rules (GEM011-GEM014, :mod:`.flowrules`) need
-two more facts, and need them across module boundaries:
-
-* **may-raise sets** — which exception classes can escape a function,
-  with call-graph propagation and ``try/except`` filtering, so GEM011
-  can close the RPC error surface over the wire registry.
-* **may-block witnesses** — which functions reach a blocking primitive
-  (``open``, ``time.sleep``, ...) from the event loop, so GEM013 can
-  keep the loop responsive.
+"""GeminiFlow: the one call graph behind geminilint's call-following rules.
 
 A :class:`FlowProject` is built from one or more parsed modules. Calls
 are resolved through ``self``/``super()`` (walking base classes across
 modules), module-level names, imported names, and a class-hierarchy-
 analysis fallback for other attribute calls (every known method of that
-name is a candidate). Unresolvable callees are assumed to raise
-nothing — optimistic, which is the right bias for a closed-world escape
-check: the registry must cover what *our* code deliberately raises;
-stdlib surprises are server bugs that surface as generic error
-envelopes, which ``NodeServer`` already handles.
+name is a candidate). On that graph it computes four per-function
+facts:
+
+* **may-raise sets** — which exception classes can escape a function,
+  with call-graph propagation and ``try/except`` filtering, so GEM011
+  can close the RPC error surface over the wire registry. Unresolvable
+  callees are assumed to raise nothing — optimistic, which is the right
+  bias for a closed-world escape check: the registry must cover what
+  *our* code deliberately raises; stdlib surprises are server bugs that
+  surface as generic error envelopes, which ``NodeServer`` already
+  handles.
+* **may-block witnesses** — which functions reach a blocking primitive
+  (``open``, ``time.sleep``, ...) from the event loop, so GEM013 can
+  keep the loop responsive.
+* **may-yield** — whether a sim-kernel generator may suspend: a direct
+  ``yield``, or a ``yield from`` into a may-yield callee. In this kernel
+  a plain call can never suspend; ``yield from`` suspends only if the
+  callee does. Only delegation into a sibling method (``yield from
+  self.m(...)``) is resolved; any other ``yield from`` is conservatively
+  a suspension point. GEM007 reads this.
+* **lock summaries** — the ordered kernel-lock (``x.acquire()`` /
+  ``x.release()``) and Redlease (RPCs carrying ``op="red_acquire"`` /
+  ``"red_release"``) events of each function, plus every lock it
+  acquires through ``yield from`` into sibling methods. GEM008 builds
+  its acquisition-order graph from these.
+
+GEM003 walks the same ``self.<m>(...)`` edges for Redlease reachability.
 
 Like everything in geminilint the pass is lexical: only explicit
 ``raise SomeError(...)`` statements seed the may-raise sets, and a
 summary describes the function's source, not a path-sensitive
-execution. The runtime sanitizer owns the dynamic version.
+execution. The runtime sanitizer (:mod:`repro.sim.sanitizer`) owns the
+dynamic version.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.core import ModuleContext, call_name
+from repro.analysis.core import ModuleContext, call_name, keyword_arg
 
 __all__ = [
     "FlowFunction",
@@ -44,7 +55,7 @@ __all__ = [
     "FlowModule",
     "FlowProject",
     "DEFAULT_PROJECT_MODULES",
-    "enclosing_callable",
+    "op_of_call",
     "project_for_context",
     "single_module_project",
 ]
@@ -95,18 +106,61 @@ _BLOCKING_CALLS = frozenset({
 _BLOCKING_PREFIXES = ("subprocess.",)
 
 
-def enclosing_callable(ctx: ModuleContext,
-                       node: ast.AST) -> Optional[ast.AST]:
-    """Innermost ``def`` or ``async def`` containing ``node``.
+#: RPC ops that acquire / release the Redlease. All Redleases share one
+#: lock node: two leases on different fragments are interchangeable
+#: instances of the same lock class, so nesting any two of them is an
+#: ordering hazard regardless of which fragments they cover.
+RED_LOCK_OPS = {"red_acquire": "acquire", "red_release": "release"}
+RED_LOCK = "redlease"
 
-    :meth:`ModuleContext.enclosing_function` predates the live runtime
-    and matches only plain ``def``; the flow pass must see both.
+
+def op_of_call(call: ast.Call) -> Optional[str]:
+    """The protocol op a call carries, across both op-building idioms.
+
+    ``CacheOp(op="get_dirty", ...)`` / ``self._cfg(cfg, op="...")`` pass
+    the op as a keyword; client sessions use ``self._op("get_dirty",
+    cfg, ...)`` with the op as the first positional argument.
     """
-    current = ctx.parent(node)
-    while current is not None:
-        if isinstance(current, _CALLABLE):
-            return current
-        current = ctx.parent(current)
+    value = keyword_arg(call, "op")
+    if isinstance(value, ast.Constant) and isinstance(value.value, str):
+        return value.value
+    name = call_name(call)
+    if name is not None and name.split(".")[-1] == "_op" and call.args:
+        first = call.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            return first.value
+    return None
+
+
+def _lock_event(call: ast.Call,
+                class_name: str) -> Optional[Tuple[str, str]]:
+    """``("acquire" | "release", lock id)`` for a lock call, or None.
+
+    ``self._lock.acquire()`` inside class C becomes ``C._lock`` so the
+    same attribute on different classes stays distinct in a module's
+    acquisition-order graph; Redlease RPC ops map to :data:`RED_LOCK`.
+    """
+    op = op_of_call(call)
+    if op in RED_LOCK_OPS:
+        return RED_LOCK_OPS[op], RED_LOCK
+    name = call_name(call)
+    if name is None:
+        return None
+    base, _, kind = name.rpartition(".")
+    if not base or kind not in ("acquire", "release"):
+        return None
+    if base.startswith("self."):
+        base = f"{class_name}.{base[len('self.'):]}"
+    return kind, base
+
+
+def _self_method(node: Optional[ast.AST]) -> Optional[str]:
+    """``m`` for a ``self.m(...)`` call, else None."""
+    if isinstance(node, ast.Call):
+        name = call_name(node)
+        if name is not None and name.startswith("self.") \
+                and name.count(".") == 1:
+            return name[len("self."):]
     return None
 
 
@@ -124,8 +178,23 @@ class FlowFunction:
     direct_raises: List[Tuple[str, Tuple[Tuple[str, ...], ...]]] = field(
         default_factory=list)
     call_sites: List["CallSite"] = field(default_factory=list)
+    #: A ``yield``, or a ``yield from`` into anything but a sibling
+    #: method (conservatively a suspension point).
+    direct_yield: bool = False
     #: Post-fixpoint: exception names that may escape this function.
     raise_set: Set[str] = field(default_factory=set)
+    #: Post-fixpoint: the function may suspend.
+    may_yield: bool = False
+    #: Post-fixpoint: every lock this function, or a sibling it enters
+    #: via ``yield from``, acquires.
+    acquires: Set[str] = field(default_factory=set)
+
+    def lock_events(self) -> List["CallSite"]:
+        """Lock acquires/releases and sibling delegations, in source
+        order."""
+        events = [s for s in self.call_sites
+                  if s.lock is not None or s.delegation is not None]
+        return sorted(events, key=lambda s: s.position)
 
 
 @dataclass
@@ -140,6 +209,21 @@ class CallSite:
     name: Optional[str]
     guards: Tuple[Tuple[str, ...], ...]
     targets: List[FlowFunction] = field(default_factory=list)
+    #: The ``yield from`` delegating to this ``self.<m>(...)`` call.
+    delegation: Optional[ast.YieldFrom] = None
+    #: ``(kind, lock id)`` when the call acquires or releases a lock.
+    lock: Optional[Tuple[str, str]] = None
+
+    @property
+    def self_method(self) -> Optional[str]:
+        """``m`` for a ``self.m(...)`` call, else None."""
+        return _self_method(self.node)
+
+    @property
+    def position(self) -> Tuple[int, int]:
+        """``(line, col)`` of the call, or of its ``yield from``."""
+        node = self.delegation or self.node
+        return (node.lineno, node.col_offset) if node is not None else (0, 0)
 
 
 @dataclass(eq=False)
@@ -197,8 +281,8 @@ class FlowModule:
             self.functions.append(func)
             if class_name and class_name in self.classes:
                 self.classes[class_name].methods.setdefault(node.name, func)
-            elif not class_name and enclosing_callable(
-                    self.ctx, node) is None:
+            elif not class_name and self.ctx.enclosing_function(
+                    node) is None:
                 self.funcs.setdefault(node.name, func)
 
     def expand(self, name: str) -> str:
@@ -234,12 +318,17 @@ class FlowProject:
                 self.global_funcs.setdefault(name, []).append(func)
         self.functions: List[FlowFunction] = [
             f for m in self.modules for f in m.functions]
+        self.by_node: Dict[ast.AST, FlowFunction] = {
+            f.node: f for f in self.functions}
+        #: ``yield from self.<m>(...)`` node -> its call site.
+        self._delegations: Dict[ast.AST, CallSite] = {}
         for func in self.functions:
             self._scan(func)
         for func in self.functions:
             self._resolve_sites(func)
         self._add_dispatch_edges()
         self._fixpoint_raises()
+        self._fixpoint_yields()
 
     # -- scanning ---------------------------------------------------------
 
@@ -248,14 +337,25 @@ class FlowProject:
         for node in ast.walk(func.node):
             if node is func.node:
                 continue
-            if enclosing_callable(ctx, node) is not func.node:
+            if ctx.enclosing_function(node) is not func.node:
                 continue
             if isinstance(node, ast.Raise):
                 self._scan_raise(func, node)
+            elif isinstance(node, ast.Yield) or (
+                    isinstance(node, ast.YieldFrom)
+                    and _self_method(node.value) is None):
+                func.direct_yield = True
             elif isinstance(node, ast.Call):
-                func.call_sites.append(CallSite(
+                parent = ctx.parent(node)
+                site = CallSite(
                     node=node, name=call_name(node),
-                    guards=self._guards(func, node)))
+                    guards=self._guards(func, node),
+                    lock=_lock_event(node, func.class_name))
+                if isinstance(parent, ast.YieldFrom) \
+                        and _self_method(node) is not None:
+                    site.delegation = parent
+                    self._delegations[parent] = site
+                func.call_sites.append(site)
 
     def _scan_raise(self, func: FlowFunction, node: ast.Raise) -> None:
         guards = self._guards(func, node)
@@ -510,6 +610,45 @@ class FlowProject:
             seen |= {"Exception", "BaseException"}
         self._supers_cache[exc] = seen
         return seen
+
+    # -- may-yield / lock fixpoint ---------------------------------------
+
+    def _fixpoint_yields(self) -> None:
+        delegating = [(func, site) for func in self.functions
+                      for site in func.call_sites
+                      if site.delegation is not None]
+        for func in self.functions:
+            func.may_yield = func.direct_yield
+            func.acquires = {site.lock[1] for site in func.call_sites
+                             if site.lock and site.lock[0] == "acquire"}
+        for func, site in delegating:
+            if not site.targets:
+                # yield from self.<m> with no such method: conservatively
+                # may-yield.
+                func.may_yield = True
+        changed = True
+        while changed:
+            changed = False
+            for func, site in delegating:
+                for target in site.targets:
+                    if target.may_yield and not func.may_yield:
+                        func.may_yield = True
+                        changed = True
+                    if not target.acquires <= func.acquires:
+                        func.acquires |= target.acquires
+                        changed = True
+
+    def suspends(self, node: ast.AST) -> bool:
+        """Does this ``yield``/``yield from`` actually suspend?
+
+        A bare ``yield`` always does. ``yield from self.m()`` suspends
+        only if ``m`` may yield — delegating into a non-yielding helper
+        runs it to completion synchronously.
+        """
+        site = self._delegations.get(node)
+        if site is None:
+            return isinstance(node, (ast.Yield, ast.YieldFrom))
+        return not site.targets or any(t.may_yield for t in site.targets)
 
     # -- may-block --------------------------------------------------------
 

@@ -44,7 +44,6 @@ from repro.analysis.flow import (
     FlowClass,
     FlowFunction,
     FlowProject,
-    enclosing_callable,
     find_source_root,
     project_for_context,
     single_module_project,
@@ -269,7 +268,7 @@ class ExceptionFlowClosure(Rule):
             name = arg.func.id
         elif isinstance(arg, ast.Name):
             # Walk the enclosing function for ``arg = SomeClass(...)``.
-            owner = enclosing_callable(ctx, arg)
+            owner = ctx.enclosing_function(arg)
             scope = owner if owner is not None else ctx.tree
             for node in ast.walk(scope):
                 if not isinstance(node, ast.Assign):
@@ -625,7 +624,7 @@ class AsyncioDiscipline(Rule):
         if not acquires:
             return findings
         awaits = [n for n in ast.walk(func.node) if isinstance(n, ast.Await)
-                  and enclosing_callable(ctx, n) is func.node]
+                  and ctx.enclosing_function(n) is func.node]
         for lock, node in acquires:
             if self._released_in_finally(ctx, func, lock, node):
                 continue

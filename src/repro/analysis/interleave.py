@@ -20,20 +20,21 @@ actually shipped:
   or a dirty list re-created with a fresh marker outside the one op
   allowed to mint one.
 
-These rules lean on :mod:`repro.analysis.interproc` for may-yield and
-lock summaries; the runtime sanitizer (:mod:`repro.sim.sanitizer`)
-checks the same properties path-sensitively under chaos schedules.
+These rules read the may-yield and lock summaries of a per-module
+:class:`~repro.analysis.flow.FlowProject`; the runtime sanitizer
+(:mod:`repro.sim.sanitizer`) checks the same properties path-sensitively
+under chaos schedules.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import (Finding, ModuleContext, Rule, call_name,
                                  dotted_name, keyword_arg, register_rule)
-from repro.analysis.interproc import (ModuleSummaries, build_summaries,
-                                      op_of_call)
+from repro.analysis.flow import (FlowFunction, FlowProject, op_of_call,
+                                 single_module_project)
 
 __all__ = ["StaleCaptureAcrossYield", "LockOrderInversion",
            "CheckThenActOnMarkers"]
@@ -49,21 +50,11 @@ DIRTY_FETCH_OPS = frozenset({"get_dirty", "get_dirty_page"})
 DIRTY_NAME_HINTS = ("dirty",)
 
 
-def _summaries(ctx: ModuleContext) -> ModuleSummaries:
-    """Build (and memoize on the context) the module summaries."""
-    cached = getattr(ctx, "_interproc_summaries", None)
-    if cached is None:
-        cached = build_summaries(ctx)
-        ctx._interproc_summaries = cached  # type: ignore[attr-defined]
-    return cached
-
-
 def _in_subtree(node: ast.AST, root: ast.AST) -> bool:
     return any(node is candidate for candidate in ast.walk(root))
 
 
-def _loops_of(func: ast.FunctionDef,
-              ctx: ModuleContext) -> List[ast.AST]:
+def _loops_of(func: ast.AST, ctx: ModuleContext) -> List[ast.AST]:
     return [node for node in ast.walk(func)
             if isinstance(node, (ast.For, ast.While))
             and ctx.enclosing_function(node) is func]
@@ -114,20 +105,18 @@ class StaleCaptureAcrossYield(Rule):
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        summaries = _summaries(ctx)
-        for func in list(summaries.by_node):
-            if not ctx.is_generator(func):
+        project = single_module_project(ctx)
+        for owner in project.functions:
+            if owner.is_async or not ctx.is_generator(owner.node):
                 continue
-            owner = summaries.summary(func)
-            findings.extend(self._stale_captures(ctx, summaries, owner))
-            findings.extend(self._finally_drops(ctx, summaries, owner))
+            findings.extend(self._stale_captures(ctx, project, owner))
+            findings.extend(self._finally_drops(ctx, project, owner))
         return findings
 
     # -- (a) captures ---------------------------------------------------
 
-    def _stale_captures(self, ctx: ModuleContext,
-                        summaries: ModuleSummaries,
-                        owner) -> Iterator[Finding]:
+    def _stale_captures(self, ctx: ModuleContext, project: FlowProject,
+                        owner: FlowFunction) -> Iterator[Finding]:
         func = owner.node
         loops = _loops_of(func, ctx)
         if not loops:
@@ -145,7 +134,7 @@ class StaleCaptureAcrossYield(Rule):
             for loop in loops:
                 if loop in capture_loops:
                     continue  # re-captured every iteration: fine
-                if not self._loop_suspends(ctx, summaries, owner, loop):
+                if not self._suspends_in(ctx, project, owner, [loop]):
                     continue
                 if self._reassigned_in(ctx, func, loop, name):
                     continue
@@ -158,18 +147,17 @@ class StaleCaptureAcrossYield(Rule):
                         f"inside the loop (GEM007)")
                     break
 
-    def _loop_suspends(self, ctx: ModuleContext,
-                       summaries: ModuleSummaries, owner,
-                       loop: ast.AST) -> bool:
-        for node in ast.walk(loop):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                if (ctx.enclosing_function(node) is owner.node
-                        and summaries.suspends(node, owner)):
-                    return True
-        return False
+    @staticmethod
+    def _suspends_in(ctx: ModuleContext, project: FlowProject,
+                     owner: FlowFunction, body: Sequence[ast.AST]) -> bool:
+        """Does any statement of ``body`` suspend ``owner``?"""
+        return any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                   and ctx.enclosing_function(node) is owner.node
+                   and project.suspends(node)
+                   for stmt in body for node in ast.walk(stmt))
 
     @staticmethod
-    def _reassigned_in(ctx: ModuleContext, func: ast.FunctionDef,
+    def _reassigned_in(ctx: ModuleContext, func: ast.AST,
                        loop: ast.AST, name: str) -> bool:
         for node in ast.walk(loop):
             if (isinstance(node, ast.Assign)
@@ -184,7 +172,7 @@ class StaleCaptureAcrossYield(Rule):
         return False
 
     @staticmethod
-    def _reads_name(ctx: ModuleContext, func: ast.FunctionDef,
+    def _reads_name(ctx: ModuleContext, func: ast.AST,
                     loop: ast.AST, name: str) -> bool:
         return any(isinstance(node, ast.Name) and node.id == name
                    and isinstance(node.ctx, ast.Load)
@@ -193,15 +181,14 @@ class StaleCaptureAcrossYield(Rule):
 
     # -- (b) finally drops ----------------------------------------------
 
-    def _finally_drops(self, ctx: ModuleContext,
-                       summaries: ModuleSummaries,
-                       owner) -> Iterator[Finding]:
+    def _finally_drops(self, ctx: ModuleContext, project: FlowProject,
+                       owner: FlowFunction) -> Iterator[Finding]:
         func = owner.node
         for node in ast.walk(func):
             if (not isinstance(node, ast.Try)
                     or ctx.enclosing_function(node) is not func):
                 continue
-            if not self._body_suspends(ctx, summaries, owner, node.body):
+            if not self._suspends_in(ctx, project, owner, node.body):
                 continue
             cleanup: List[ast.stmt] = list(node.finalbody)
             for handler in node.handlers:
@@ -226,17 +213,6 @@ class StaleCaptureAcrossYield(Rule):
                             f"view, discarding keys recovery still "
                             f"needs (GEM007)")
 
-    def _body_suspends(self, ctx: ModuleContext,
-                       summaries: ModuleSummaries, owner,
-                       body: List[ast.stmt]) -> bool:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                    if (ctx.enclosing_function(node) is owner.node
-                            and summaries.suspends(node, owner)):
-                        return True
-        return False
-
 
 @register_rule
 class LockOrderInversion(Rule):
@@ -254,35 +230,30 @@ class LockOrderInversion(Rule):
     summary = "lock-order inversion (acquisition-order cycle)"
 
     def check(self, ctx: ModuleContext) -> List[Finding]:
-        summaries = _summaries(ctx)
         edges: Dict[str, Set[str]] = {}
-        sites: Dict[Tuple[str, str], ast.AST] = {}
         anchor: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        for func, owner in summaries.by_node.items():
+        for func in single_module_project(ctx).functions:
+            if func.is_async:
+                continue
             held: List[str] = []
-            for line, col, kind, lock in owner.lock_events:
-                if kind == "acquire":
-                    for prior in held:
-                        if (prior, lock) not in anchor:
-                            anchor[(prior, lock)] = (line, col)
-                        edges.setdefault(prior, set()).add(lock)
-                    held.append(lock)
-                elif kind == "release":
-                    if lock in held:
-                        held.remove(lock)
-                elif kind.startswith("call:") and held:
-                    callee = kind.split(":", 1)[1]
-                    target = summaries.methods.get(
-                        owner.class_name, {}).get(callee)
-                    if target is None:
-                        continue
-                    for inner in target.acquires:
+            for site in func.lock_events():
+                at = site.position
+                if site.lock is not None:
+                    kind, lock = site.lock
+                    if kind == "acquire":
                         for prior in held:
-                            if prior == inner:
-                                continue
-                            if (prior, inner) not in anchor:
-                                anchor[(prior, inner)] = (line, col)
-                            edges.setdefault(prior, set()).add(inner)
+                            anchor.setdefault((prior, lock), at)
+                            edges.setdefault(prior, set()).add(lock)
+                        held.append(lock)
+                    elif lock in held:
+                        held.remove(lock)
+                elif held:
+                    for target in site.targets:
+                        for inner in target.acquires:
+                            for prior in held:
+                                if prior != inner:
+                                    anchor.setdefault((prior, inner), at)
+                                    edges.setdefault(prior, set()).add(inner)
         return self._report_cycles(ctx, edges, anchor)
 
     def _report_cycles(self, ctx: ModuleContext,

@@ -27,10 +27,11 @@ from repro.analysis.core import (
     Rule,
     call_name,
     dotted_name,
-    keyword_arg,
     register_rule,
     walk_in_function,
 )
+from repro.analysis.flow import (CallSite, FlowFunction, FlowProject,
+                                 op_of_call, single_module_project)
 
 __all__ = [
     "WallClockAndGlobalRandomness",
@@ -101,14 +102,6 @@ def _in_package(path: str, package: str) -> bool:
 def _functions(ctx: ModuleContext) -> List[ast.FunctionDef]:
     return [node for node in ast.walk(ctx.tree)
             if isinstance(node, ast.FunctionDef)]
-
-
-def _op_constant(call: ast.Call) -> Optional[str]:
-    """The ``op="..."`` keyword of a call, when it is a string literal."""
-    value = keyword_arg(call, "op")
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return value.value
-    return None
 
 
 def _method_map(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
@@ -201,8 +194,8 @@ class WallClockAndGlobalRandomness(Rule):
             return [self.finding(
                 ctx, node,
                 f"ad-hoc {name}(...) construction; streams must come "
-                f"from RngRegistry (or its documented fallback helper) "
-                f"so seeds derive from the experiment seed")]
+                f"from RngRegistry so seeds derive from the experiment "
+                f"seed")]
         return []
 
 
@@ -318,37 +311,26 @@ class UnguardedDirtyMutation(Rule):
                 findings.extend(self._check_class(ctx, node))
         return findings
 
-    def _ops_issued(self, method: ast.FunctionDef) -> Set[str]:
-        ops: Set[str] = set()
-        for node in ast.walk(method):
-            if isinstance(node, ast.Call):
-                op = _op_constant(node)
-                if op is not None:
-                    ops.add(op)
-        return ops
-
-    def _self_calls(self, method: ast.FunctionDef) -> Set[str]:
-        """Names of methods invoked as ``self.<name>(...)`` anywhere."""
-        out: Set[str] = set()
-        for node in ast.walk(method):
-            if isinstance(node, ast.Call):
-                name = call_name(node)
-                if name is not None and name.startswith("self.") \
-                        and name.count(".") == 1:
-                    out.add(name.split(".")[1])
-        return out
-
     def _check_class(self, ctx: ModuleContext,
                      cls: ast.ClassDef) -> List[Finding]:
-        methods = _method_map(cls)
-        ops = {name: self._ops_issued(node) for name, node in methods.items()}
+        project = single_module_project(ctx)
+        methods = {name: project.by_node[node]
+                   for name, node in _method_map(cls).items()}
+        by_func = {func: name for name, func in methods.items()}
+        ops: Dict[str, Set[str]] = {name: set() for name in methods}
+        callers: Dict[str, Set[str]] = {name: set() for name in methods}
+        for name, method in methods.items():
+            for site in self._sites_within(ctx, project, method):
+                op = op_of_call(site.node) if site.node else None
+                if op is not None:
+                    ops[name].add(op)
+                if site.self_method is None:
+                    continue
+                for target in site.targets:
+                    if target in by_func:
+                        callers[by_func[target]].add(name)
         guards = {name for name, issued in ops.items()
                   if "red_acquire" in issued}
-        callers: Dict[str, Set[str]] = {name: set() for name in methods}
-        for name, node in methods.items():
-            for callee in self._self_calls(node):
-                if callee in callers:
-                    callers[callee].add(name)
 
         # A method is unguarded-reachable when some caller chain reaches
         # an entry point without passing a guard-establishing method.
@@ -372,7 +354,7 @@ class UnguardedDirtyMutation(Rule):
             return result
 
         findings: List[Finding] = []
-        for name, node in methods.items():
+        for name, method in methods.items():
             mutating = ops[name] & self._MUTATING_OPS
             if not mutating:
                 continue
@@ -380,11 +362,25 @@ class UnguardedDirtyMutation(Rule):
                 continue  # mutates inside the acquire/release bracket
             if unguarded(name, ()):
                 findings.append(self.finding(
-                    ctx, node,
+                    ctx, method.node,
                     f"{cls.name}.{name} issues mutating op(s) "
                     f"{sorted(mutating)} but is reachable without passing "
                     f"through a red_acquire-guarded pass"))
         return findings
+
+    @staticmethod
+    def _sites_within(ctx: ModuleContext, project: FlowProject,
+                      method: FlowFunction) -> List[CallSite]:
+        """Call sites lexically inside ``method``, nested defs included
+        (a closure's RPC is issued on the method's behalf)."""
+        sites: List[CallSite] = []
+        for func in project.functions:
+            node: Optional[ast.AST] = func.node
+            while node is not None and node is not method.node:
+                node = ctx.enclosing_function(node)
+            if node is not None:
+                sites.extend(func.call_sites)
+        return sites
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.metrics.recorder import OpRecorder
 from repro.recovery.policies import RecoveryPolicy
 from repro.runtime import Kernel, Transport
 from repro.sim.core import SimGenerator
-from repro.sim.rng import fallback_stream
 from repro.types import CACHE_MISS, FragmentMode, Value
 from repro.verify.events import EventLog
 from repro.verify.oracle import ConsistencyOracle
@@ -55,7 +54,8 @@ class GeminiClient:
                  name: str = "client",
                  oracle: Optional[ConsistencyOracle] = None,
                  recorder: Optional[OpRecorder] = None,
-                 rng: Optional[random.Random] = None,
+                 *,
+                 rng: random.Random,
                  backoff_base: float = 0.001,
                  backoff_cap: float = 0.016,
                  suspension_delay: float = 0.02,
@@ -72,7 +72,7 @@ class GeminiClient:
         self.name = name
         self.oracle = oracle
         self.recorder = recorder
-        self.rng = fallback_stream(rng, f"client.{name}")
+        self.rng = rng
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.suspension_delay = suspension_delay

@@ -42,6 +42,7 @@ from repro.metrics.recorder import OpRecorder
 from repro.metrics.recovery import RecoveryRecorder
 from repro.recovery.worker import RecoveryWorker
 from repro.sim.core import SimGenerator
+from repro.sim.rng import RngRegistry
 from repro.types import FragmentMode
 from repro.verify.events import EventLog
 from repro.verify.oracle import ConsistencyOracle
@@ -104,8 +105,10 @@ class LiveCluster:
 
         self.kernel: Optional[LiveKernel] = None
         self.transport: Optional[LiveTransport] = None
+        #: Streams named as in GeminiCluster, so one seed drives both.
+        self.rng = RngRegistry(spec.seed)
         self.oracle = ConsistencyOracle(strict=spec.strict_oracle)
-        self.recorder = OpRecorder()
+        self.recorder = OpRecorder(rng_registry=self.rng)
         self.recovery_recorder = RecoveryRecorder()
         self.events = EventLog(clock=lambda: self._now(), keep=True)
         self.clients: List[GeminiClient] = []
@@ -145,7 +148,9 @@ class LiveCluster:
             client = GeminiClient(
                 self.kernel, self.transport, policy,
                 name=f"client-{index}", oracle=self.oracle,
-                recorder=self.recorder, event_log=self.events)
+                recorder=self.recorder,
+                rng=self.rng.stream(f"client-{index}"),
+                event_log=self.events)
             await self.kernel.run_process(client.bootstrap(),
                                           name=f"bootstrap:{client.name}")
             self.clients.append(client)
@@ -155,6 +160,7 @@ class LiveCluster:
             worker = RecoveryWorker(
                 self.kernel, self.transport, policy,
                 name=f"worker-{index}",
+                rng=self.rng.stream(f"worker-{index}"),
                 recovery_recorder=self.recovery_recorder,
                 event_log=self.events)
             worker.on_config(config)
@@ -256,11 +262,11 @@ class LiveCluster:
         waits = []
         for index, client in enumerate(self.clients):
             for t in range(threads_per_client):
+                name = f"load-{index}-{t}"
                 generator = YcsbWorkload(
-                    spec, client.rng, keyspace=keyspace)
+                    spec, self.rng.stream(name), keyspace=keyspace)
                 thread = ClosedLoopThread(
-                    self.kernel, client, generator,
-                    name=f"load-{index}-{t}",
+                    self.kernel, client, generator, name=name,
                     stop=lambda: self.kernel.now >= deadline)
                 threads.append(thread)
                 waits.append(self.kernel.wait(thread.start()))

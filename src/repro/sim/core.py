@@ -41,7 +41,6 @@ _PENDING = object()
 #: only wall-clock read in the kernel; it feeds `Simulator.busy_profile`
 #: (the repro.obs profiling report) and never influences simulated
 #: behaviour — simulated time comes exclusively from the event heap.
-# geminilint: disable=GEM001 -- host busy profile only; never in sim state
 _perf = time.perf_counter
 
 #: Simulation actors are plain generators; what they yield/receive is

@@ -1,4 +1,4 @@
-"""GeminiFlow machinery: call resolution and the may-raise fixpoint.
+"""GeminiFlow machinery: call resolution and the per-function fixpoints.
 
 These are unit tests for :mod:`repro.analysis.flow` itself — the rules
 built on it are covered in ``test_flow_rules.py``. Fixtures are parsed
@@ -13,7 +13,7 @@ import textwrap
 from repro.analysis.core import ModuleContext
 from repro.analysis.flow import (
     FlowProject,
-    enclosing_callable,
+    op_of_call,
     project_for_context,
     single_module_project,
 )
@@ -29,9 +29,12 @@ def _project(*sources):
                         for i, src in enumerate(sources)])
 
 
+def _func(project, qualname):
+    return next(f for f in project.functions if f.qualname == qualname)
+
+
 def _raises(project, qualname):
-    func = next(f for f in project.functions if f.qualname == qualname)
-    return func.raise_set
+    return _func(project, qualname).raise_set
 
 
 class TestDirectRaises:
@@ -306,17 +309,17 @@ class TestAsyncReachability:
         reached = {f.qualname for f in project.async_reachable()}
         assert "offline" not in reached
 
-    def test_enclosing_callable_sees_async_defs(self):
+    def test_enclosing_function_sees_async_defs(self):
         ctx = _ctx("""
-            async def f():
-                open("p")
+            def outer():
+                async def f():
+                    open("p")
         """)
         call = next(n for n in ast.walk(ctx.tree)
                     if isinstance(n, ast.Call))
-        owner = enclosing_callable(ctx, call)
+        owner = ctx.enclosing_function(call)
         assert isinstance(owner, ast.AsyncFunctionDef)
-        # The pre-existing helper ignores async defs by design.
-        assert ctx.enclosing_function(call) is None
+        assert owner.name == "f"
 
 
 class TestBlockingPrimitives:
@@ -395,3 +398,123 @@ class TestProjectConstruction:
         assert any(p.endswith("node.py") for p in paths)
         # The anchor's in-memory source wins over its disk copy.
         assert sum(p.endswith("wire.py") for p in paths) == 1
+
+
+class TestMayYieldFixpoint:
+    SOURCE = """
+        class W:
+            def leaf_yields(self):
+                yield 1.0
+
+            def leaf_plain(self):
+                return 42
+
+            def via_chain(self):
+                yield from self.middle()
+
+            def middle(self):
+                yield from self.leaf_yields()
+
+            def via_plain(self):
+                yield from self.leaf_plain()
+
+            def external(self):
+                yield from some_module.helper()
+
+            def missing(self):
+                yield from self.no_such_method()
+    """
+
+    def _may_yield(self, qualname):
+        return _func(_project(self.SOURCE), qualname).may_yield
+
+    def test_direct_yield(self):
+        assert self._may_yield("W.leaf_yields")
+
+    def test_plain_function_does_not_yield(self):
+        assert not self._may_yield("W.leaf_plain")
+
+    def test_propagates_through_yield_from_chain(self):
+        assert self._may_yield("W.via_chain")
+        assert self._may_yield("W.middle")
+
+    def test_yield_from_into_non_yielding_helper(self):
+        # Delegating into a generator with no suspension points runs it
+        # synchronously: the delegator itself never parks.
+        assert not self._may_yield("W.via_plain")
+
+    def test_unresolvable_callee_is_conservative(self):
+        assert self._may_yield("W.external")
+        assert self._may_yield("W.missing")
+
+    def test_suspends_follows_the_delegate(self):
+        project = _project(self.SOURCE)
+
+        def delegation(qualname):
+            return next(n for n in ast.walk(_func(project, qualname).node)
+                        if isinstance(n, ast.YieldFrom))
+
+        assert project.suspends(delegation("W.via_chain"))
+        assert not project.suspends(delegation("W.via_plain"))
+        assert project.suspends(delegation("W.external"))
+
+
+class TestLockSummaries:
+    SOURCE = """
+        class W:
+            def outer(self):
+                yield self._lock.acquire()
+                yield from self.inner()
+                self._lock.release()
+
+            def inner(self):
+                yield self._gate.acquire()
+                self._gate.release()
+
+            def red(self, cfg):
+                lease = yield self.network.call(
+                    "i", self._cfg(cfg, op="red_acquire"))
+                yield self.network.call("i", self._cfg(cfg, op="red_release"))
+    """
+
+    def _summary(self, qualname):
+        return _func(_project(self.SOURCE), qualname)
+
+    def test_own_acquires_are_class_qualified(self):
+        assert self._summary("W.inner").acquires == {"W._gate"}
+
+    def test_acquires_flow_through_yield_from(self):
+        assert self._summary("W.outer").acquires == {"W._lock", "W._gate"}
+
+    def test_red_ops_count_as_the_shared_redlease(self):
+        func = self._summary("W.red")
+        assert func.acquires == {"redlease"}
+        assert [site.lock for site in func.lock_events()] == [
+            ("acquire", "redlease"), ("release", "redlease")]
+
+    def test_lock_events_are_source_ordered(self):
+        events = [site.lock[0] if site.lock else f"call:{site.self_method}"
+                  for site in self._summary("W.outer").lock_events()]
+        assert events == ["acquire", "call:inner", "release"]
+
+
+class TestOpOfCall:
+    def op_of(self, expr):
+        call = ast.parse(expr, mode="eval").body
+        assert isinstance(call, ast.Call)
+        return op_of_call(call)
+
+    def test_keyword_form(self):
+        assert self.op_of('self._cfg(cfg, op="get_dirty")') == "get_dirty"
+        assert self.op_of('CacheOp(op="red_acquire", fragment_id=1)') \
+            == "red_acquire"
+
+    def test_positional_session_form(self):
+        assert self.op_of('self._op("get_dirty", cfg, key=k)') == "get_dirty"
+
+    def test_positional_only_on_op_builders(self):
+        # A stray first-positional string on some other call is not an op.
+        assert self.op_of('self.network.call("cache-0", request)') is None
+
+    def test_non_literal_is_none(self):
+        assert self.op_of('self._op(op_name, cfg)') is None

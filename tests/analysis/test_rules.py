@@ -186,6 +186,42 @@ class TestGem003UnguardedDirtyMutation:
         """)
         assert [f.code for f in findings] == ["GEM003"]
 
+    def test_positional_op_idiom_counts(self):
+        findings = check(UnguardedDirtyMutation, """
+            class RecoveryWorker:
+                def on_demand(self, cfg):
+                    yield self.network.call(
+                        "primary", self._op("mdelete", cfg, keys=[]))
+        """)
+        assert [f.code for f in findings] == ["GEM003"]
+
+    def test_mutation_in_nested_closure_counts(self):
+        findings = check(UnguardedDirtyMutation, """
+            class RecoveryWorker:
+                def on_demand(self):
+                    def attempt():
+                        yield self.network.call(
+                            "primary", self._op(op="iset", key="k"))
+                    yield from attempt()
+        """)
+        assert [f.code for f in findings] == ["GEM003"]
+
+    def test_call_on_another_object_is_not_a_caller_edge(self):
+        # ``self.peer._repair()`` is some other worker's pass; it does
+        # not put this worker's ``_repair`` behind ``_run``'s guard.
+        findings = check(UnguardedDirtyMutation, """
+            class RecoveryWorker:
+                def _run(self):
+                    yield self.network.call(
+                        "primary", self._op(op="red_acquire", fragment=0))
+                    yield from self.peer._repair()
+
+                def _repair(self):
+                    yield self.network.call(
+                        "primary", self._op(op="mdelete", keys=[]))
+        """)
+        assert [f.code for f in findings] == ["GEM003"]
+
     def test_non_worker_class_is_out_of_scope(self):
         findings = check(UnguardedDirtyMutation, """
             class GeminiClient:
